@@ -4,7 +4,7 @@ The reproduction's correctness story rests on invariants that used to
 live only in conventions: stringly-typed counter keys with
 prefix-based fingerprint exclusion, :class:`SimulationConfig` fields
 that must be mirrored in the CLI and ``docs/API.md``, dual
-object/array implementations behind the scheduler seam, and an import
+implementations that must stay drop-in compatible, and an import
 layering that keeps ``repro.core`` picklable for ``run_many`` workers.
 This package turns each convention into data plus an AST check:
 
@@ -18,8 +18,8 @@ This package turns each convention into data plus an AST check:
 ``layers``
     the allowed import DAG between ``repro`` packages — rule CON004;
 ``seams``
-    the dual object/array (and reference-twin) entry points that must
-    stay signature-compatible — rule CON005;
+    the drop-in and reference-twin entry points that must stay
+    signature-compatible — rule CON005;
 ``wire``
     the frame body keys and message dataclass fields shared by
     ``repro.net.messages`` and ``repro.runtime.codec`` — rule CON006.

@@ -10,6 +10,7 @@ attending students as members.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ class Contact:
     Attributes
     ----------
     start, end:
-        Absolute start and end times in seconds, ``start < end``.
+        Finite absolute start and end times in seconds, ``start < end``.
     members:
         The nodes in the clique; every member can receive every other
         member's broadcasts for the whole interval. At least two.
@@ -40,6 +41,10 @@ class Contact:
     members: FrozenSet[NodeId] = field(compare=False)
 
     def __post_init__(self) -> None:
+        # NaN compares False both ways, so it would slip past the
+        # duration check below and then poison the start-time sort.
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise TraceError(f"contact times must be finite: {self.start}..{self.end}")
         if self.end <= self.start:
             raise TraceError(f"contact must have positive duration: {self.start}..{self.end}")
         if len(self.members) < 2:

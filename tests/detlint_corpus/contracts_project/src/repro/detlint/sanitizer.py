@@ -1,6 +1,6 @@
 """CON002 fixture: a fingerprint-exclusion list drifted from the registry.
 
-Missing ``perf.catalog.`` / ``perf.sched.`` and stripping an alien
+Missing ``perf.catalog.`` and stripping an alien
 prefix the registry never marked excluded.
 """
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,18 @@ class TestReport:
 
 
 class TestCLI:
+    def test_cli_import_loads_no_optional_dependency(self):
+        # The package has no run-time dependencies: numpy is not used
+        # at all and networkx only by the tests, so a fresh interpreter
+        # importing the CLI must load neither.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, repro.cli; print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_capacity_command(self, capsys):
         assert cli_main(["capacity", "--max-n", "4"]) == 0
         out = capsys.readouterr().out

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
-import pytest
+import json
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.sim.runner as runner_module
 from repro.core.mbt import ProtocolVariant
+from repro.core.strategies import AdversaryPlan
+from repro.faults import FaultPlan
 from repro.sim.runner import Simulation, SimulationConfig, run_simulation
-from repro.traces.base import ContactTrace
+from repro.traces.base import Contact, ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.nus import NUSConfig, generate_nus_trace
-from repro.types import DAY
+from repro.types import DAY, NodeId
 
 from conftest import pair_contact
 
@@ -51,6 +59,24 @@ class TestConfigValidation:
     def test_negative_budgets(self):
         with pytest.raises(ValueError):
             SimulationConfig(metadata_per_contact=-1)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["pull_limit", "push_limit", "popular_file_downloads", "proxy_downloads_per_sync"],
+    )
+    def test_negative_internet_limits(self, field):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: -1})
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf")])
+    def test_non_finite_ttl(self, ttl):
+        with pytest.raises(ValueError, match="ttl_days"):
+            SimulationConfig(ttl_days=ttl)
+
+    @pytest.mark.parametrize("days", [0, -1])
+    def test_run_length_below_one_day(self, days):
+        with pytest.raises(ValueError, match="num_days"):
+            SimulationConfig(num_days=days)
 
     def test_with_variant(self):
         config = SimulationConfig()
@@ -190,3 +216,99 @@ class TestResultExtras:
 
     def test_describe(self, diesel_trace):
         assert "metadata" in run(diesel_trace).describe()
+
+
+ADVERSARIAL = ("exploiter", "free_rider", "polluter", "under_reporter")
+
+#: Counters that count dispatch events rather than protocol work; the
+#: only keys allowed to differ between batched and per-contact runs.
+_BATCH_KEYS = ("events", "events_contact", "contact_batches")
+
+
+def _batched_trace(seed: int) -> ContactTrace:
+    """Random trace where many contacts share the same start instant."""
+    rng = random.Random(seed)
+    n_nodes = 8
+    contacts = []
+    for _ in range(rng.randint(4, 8)):
+        start = round(rng.uniform(0.0, 2 * DAY), 1)
+        for _ in range(rng.randint(1, 4)):  # same-instant burst
+            size = rng.randint(2, 4)
+            members = frozenset(NodeId(i) for i in rng.sample(range(n_nodes), size))
+            contacts.append(Contact(start, start + rng.uniform(30.0, 600.0), members))
+    contacts.sort(key=lambda c: (c.start, c.end, sorted(c.members)))
+    return ContactTrace(contacts, name="batched")
+
+
+def _random_config(rng: random.Random) -> SimulationConfig:
+    kwargs = dict(
+        internet_access_fraction=rng.choice((0.0, 0.4, 1.0)),
+        files_per_day=rng.randint(4, 12),
+        ttl_days=rng.choice((1.0, 3.0)),
+        metadata_per_contact=rng.randint(1, 4),
+        files_per_contact=rng.randint(1, 4),
+        pieces_per_file=rng.choice((1, 3)),
+        variant=rng.choice(list(ProtocolVariant)),
+        tit_for_tat=rng.random() < 0.5,
+        broadcast=rng.random() < 0.7,
+        metadata_capacity=rng.choice((None, None, 8)),
+        selection_policy=rng.choice(("all", "best")),
+        credit_policy=rng.choice(("plain", "reputation")),
+        num_days=2,
+        seed=rng.randint(0, 999),
+    )
+    if rng.random() < 0.4:
+        kwargs["faults"] = FaultPlan(
+            loss_rate=rng.choice((0.0, 0.2)),
+            churn_rate=rng.choice((0.0, 0.05)),
+            seed=rng.randint(0, 99),
+        )
+    if rng.random() < 0.4:
+        names = rng.sample(ADVERSARIAL, rng.randint(1, 3))
+        kwargs["adversaries"] = AdversaryPlan(
+            fraction=rng.choice((0.25, 0.5)),
+            mix=tuple(sorted((name, 1.0) for name in names)),
+            seed=rng.randint(0, 99),
+        )
+    return SimulationConfig(**kwargs)
+
+
+def _one_contact_per_batch(contacts, key):
+    """Drop-in for the runner's ``groupby``: every contact alone."""
+    for contact in contacts:
+        yield key(contact), [contact]
+
+
+def _without_batch_counts(result) -> str:
+    payload = result.to_dict()
+    payload["extra"] = {
+        key: value for key, value in payload["extra"].items() if key not in _BATCH_KEYS
+    }
+    return json.dumps(payload, sort_keys=True, default=repr)
+
+
+class TestContactBatching:
+    """Same-instant contacts dispatch as one batch event per instant."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_batching_is_bitwise_neutral(self, seed):
+        trace = _batched_trace(seed)
+        config = _random_config(random.Random(seed))
+        batched = Simulation(trace, config).run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner_module, "groupby", _one_contact_per_batch)
+            single = Simulation(trace, config).run()
+        assert single.counters["contact_batches"] == single.counters["contacts_processed"]
+        assert _without_batch_counts(batched) == _without_batch_counts(single)
+
+    def test_batches_fewer_than_contacts(self):
+        trace = _batched_trace(3)
+        distinct = len({c.start for c in trace})
+        assert distinct < len(trace)
+        config = SimulationConfig(files_per_day=6, num_days=2, seed=0)
+        counters = Simulation(trace, config).run().counters
+        assert counters["contact_batches"] == counters["events_contact"]
+        # Bursts collapse: one event per distinct instant, not per contact.
+        assert counters["events_contact"] <= distinct
+        assert counters["contacts_processed"] > counters["contact_batches"]

@@ -115,6 +115,13 @@ class TestParsing:
         with pytest.raises(TraceError):
             read_trace(io.StringIO("5.0 2.0 0 1\n"))
 
+    @pytest.mark.parametrize(
+        "line", ["nan 10 1 2", "0 nan 1 2", "0 inf 1 2", "-inf 0 1 2"]
+    )
+    def test_non_finite_time_raises(self, line):
+        with pytest.raises(TraceError, match="finite"):
+            read_trace(io.StringIO(line + "\n"))
+
     def test_error_reports_line_number(self):
         text = "1.0 2.0 0 1\nbroken line here x\n"
         with pytest.raises(TraceError, match="line 2"):
