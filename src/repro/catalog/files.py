@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
-
 from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.types import Uri
 
@@ -157,7 +157,6 @@ class PieceStore:
 
     def __init__(self, payload_length: int = 64) -> None:
         self._bitmaps: Dict[Uri, int] = {}
-        self._completed: Dict[Uri, int] = {}
         self._payload_length = payload_length
 
     def __contains__(self, uri: Uri) -> bool:
@@ -171,6 +170,16 @@ class PieceStore:
     def iter_uris(self) -> Iterator[Uri]:
         """Stored URIs in insertion order (no frozenset allocation)."""
         return iter(self._bitmaps)
+
+    @property
+    def bitmaps(self) -> Mapping[Uri, int]:
+        """Read-only live view of the ``uri -> bitmap`` map.
+
+        Clique builders compare members' ``items()`` as sets to find
+        the URIs whose holdings differ, instead of asking
+        :meth:`bitmap_of` once per member per URI.
+        """
+        return MappingProxyType(self._bitmaps)
 
     def bitmap_of(self, uri: Uri) -> int:
         """Bitmap of the stored pieces of ``uri`` (0 if none)."""
@@ -212,7 +221,6 @@ class PieceStore:
     def add_whole_file(self, uri: Uri, num_pieces: int) -> None:
         """Store every piece of a file (Internet direct download)."""
         self._bitmaps[uri] = self._bitmaps.get(uri, 0) | ((1 << num_pieces) - 1)
-        self._completed[uri] = num_pieces
 
     def is_complete(self, uri: Uri, num_pieces: int) -> bool:
         """Whether all ``num_pieces`` pieces of ``uri`` are stored."""
@@ -229,7 +237,6 @@ class PieceStore:
     def drop(self, uri: Uri) -> None:
         """Evict every piece of ``uri`` (e.g. on expiry)."""
         self._bitmaps.pop(uri, None)
-        self._completed.pop(uri, None)
 
     def drop_piece(self, uri: Uri, index: int) -> bool:
         """Evict one piece; return True if it was stored."""
@@ -242,7 +249,6 @@ class PieceStore:
             self._bitmaps[uri] = held
         else:
             del self._bitmaps[uri]
-            self._completed.pop(uri, None)
         return True
 
     def drop_expired(self, live_uris: FrozenSet[Uri]) -> List[Uri]:
@@ -259,4 +265,3 @@ class PieceStore:
     def clear(self) -> None:
         """Drop every stored piece (node crash with storage loss)."""
         self._bitmaps.clear()
-        self._completed.clear()

@@ -88,31 +88,39 @@ def build_metadata_candidates(
     (``include_foreign``) members also request on behalf of the
     frequent contacts whose queries they carry.
 
-    Matching runs through the clique-level inverted token index of
-    ``view`` (built on demand when absent): per member, the set of
-    clique URIs its queries match is the union of posting-set
-    intersections, instead of a subset test per (member, record) pair.
-    The result is order-independent — the canonical record per URI is
-    picked deterministically (see :class:`~repro.core.cliqueview.
-    CliqueView`) regardless of ``states`` iteration order.
+    Only the view's *contested* URIs — held by some members, not all —
+    can be candidates, so the loop visits exactly those, in sorted
+    order. Matching runs through the clique-level inverted token index
+    of ``view`` (built on demand when absent), which covers the
+    contested records only: per member, the set of contested URIs its
+    queries match is the union of posting-set intersections, instead of
+    a subset test per (member, record) pair. The result is
+    order-independent — the canonical record per URI is picked
+    deterministically (see :class:`~repro.core.cliqueview.CliqueView`)
+    regardless of ``states`` iteration order.
     """
     if view is None:
         view = CliqueView(states, now)
     members = frozenset(states)
+    # Every member's token accessors run even when nothing is contested:
+    # they advance the memoized query views' deterministic counters.
+    own_tokens = {n: s.own_query_tokens(now) for n, s in states.items()}
+    if include_foreign:
+        foreign_tokens = {n: s.foreign_query_tokens(now) for n, s in states.items()}
+    if not view.contested:
+        return []
     no_match: Set[Uri] = set()
-    own_match = {
-        n: view.matched_uris(s.own_query_tokens(now)) for n, s in states.items()
-    }
+    own_match = {n: view.matched_uris(tokens) for n, tokens in own_tokens.items()}
     if include_foreign:
         foreign_match = {
-            n: view.matched_uris(s.foreign_query_tokens(now))
-            for n, s in states.items()
+            n: view.matched_uris(tokens) for n, tokens in foreign_tokens.items()
         }
     else:
         foreign_match = {n: no_match for n in states}
 
     candidates: List[MetadataCandidate] = []
-    for uri, holders in view.md_holders.items():
+    for uri in view.contested:
+        holders = view.md_holders[uri]
         missing = members - holders
         if not missing:
             continue
@@ -128,7 +136,7 @@ def build_metadata_candidates(
                 holders=frozenset(holders),
                 own_requesters=own,
                 proxy_requesters=proxy,
-                missing=frozenset(missing),
+                missing=missing,
             )
         )
     return candidates
@@ -191,7 +199,7 @@ def build_metadata_candidates_reference(
     return candidates
 
 
-def cooperative_rank_key(candidate: MetadataCandidate) -> Tuple:
+def cooperative_rank_key(candidate) -> Tuple:
     """Two-phase cooperative order (§IV-A).
 
     Requested records first — "those that match the query strings of
@@ -199,7 +207,8 @@ def cooperative_rank_key(candidate: MetadataCandidate) -> Tuple:
     *own* queries outrank records only requested on behalf of absent
     frequent contacts. Popularity breaks ties; un-requested records
     follow in decreasing popularity. URI is the deterministic final
-    tie-break.
+    tie-break. Like :func:`tit_for_tat_rank_key`, it ranks the builder's
+    frozen candidates and the scheduler's mutable copies alike.
     """
     phase = 0 if candidate.requested else 1
     return (
@@ -211,14 +220,17 @@ def cooperative_rank_key(candidate: MetadataCandidate) -> Tuple:
     )
 
 
-def tit_for_tat_rank_key(candidate: MetadataCandidate, sender: NodeState) -> Tuple:
+def tit_for_tat_rank_key(candidate, sender: NodeState, now: float) -> Tuple:
     """Credit-weighted order for a specific sender (§IV-B).
 
-    Primary key: the sum of the sender's credits for the requesters.
-    Requested records still precede un-requested at equal weight, and
-    popularity breaks remaining ties.
+    Primary key: the sum of the sender's credits for the requesters at
+    ``now`` (reputation credits decay with time). Requested records
+    still precede un-requested at equal weight, and popularity breaks
+    remaining ties. Accepts any candidate with ``requesters``,
+    ``requested`` and ``metadata`` — the frozen builder output or the
+    scheduler's mutable copies.
     """
-    weight = sender.credits.weight_of_requesters(candidate.requesters)
+    weight = sender.credits.weight_of_requesters(candidate.requesters, now)
     phase = 0 if candidate.requested else 1
     return (
         -weight,
@@ -248,12 +260,13 @@ def select_for_sender(
     candidates: Sequence[MetadataCandidate],
     sender: NodeState,
     tit_for_tat: bool,
+    now: float,
     limit: Optional[int] = None,
 ) -> List[MetadataCandidate]:
     """Rank the candidates a given sender can transmit (top-k with ``limit``)."""
     own = [c for c in candidates if sender.node in c.holders]
     if tit_for_tat:
-        key = lambda c: tit_for_tat_rank_key(c, sender)  # noqa: E731
+        key = lambda c: tit_for_tat_rank_key(c, sender, now)  # noqa: E731
     else:
         key = cooperative_rank_key
     if limit is not None:

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from repro.catalog.files import bit_indices
 from repro.catalog.metadata import Metadata
-from repro.core.cliqueview import CliqueView
+from repro.core.cliqueview import CliqueView, contested_keys
 from repro.core.node import NodeState
 from repro.types import NodeId, Uri
 
@@ -85,39 +85,46 @@ def build_piece_candidates(
     checksums travel with the piece). Requesters come from the
     downloading URIs advertised in hellos.
 
-    The clique's metadata side (live URIs, canonical records, holder
-    sets) comes from ``view`` — built on demand when absent, shared
-    with the discovery phase by the protocol engine — and per-piece
-    membership is computed with the stores' bitmaps: one ``int`` per
-    (member, URI), combined bitwise instead of per-index set algebra.
+    Only URIs whose ``(uri, bitmap)`` items differ across the members'
+    piece stores can yield a candidate — a piece every member holds has
+    nobody to receive it — so the loop visits exactly those, in sorted
+    order, and within a URI only the pieces some member lacks. The
+    metadata side (canonical record, metadata holders) comes from
+    ``view`` — built on demand when absent, shared with the discovery
+    phase by the protocol engine. Per-piece membership is computed with
+    the stores' bitmaps: one ``int`` per (member, URI), combined bitwise
+    instead of per-index set algebra.
     """
     if view is None:
         view = CliqueView(states, now)
     downloads = advertised_downloads(states, now)
     members = frozenset(states)
-    member_list = list(states)
+    member_list = view.members
+    piece_maps = [states[node].pieces.bitmaps for node in member_list]
+    differing = contested_keys([pieces.items() for pieces in piece_maps])
 
     candidates: List[PieceCandidate] = []
-    for uri, record in view.record_by_uri.items():
+    for uri in sorted({uri for uri, __ in differing}):
+        record = view.record_of(uri)
+        if record is None:
+            continue  # no live metadata in the clique: unservable
         holder_bitmaps = []
         union = 0
-        for node in member_list:
-            bitmap = states[node].pieces.bitmap_of(uri)
+        common = -1
+        for node, pieces in zip(member_list, piece_maps):
+            bitmap = pieces.get(uri, 0)
+            common &= bitmap
             if bitmap:
                 holder_bitmaps.append((node, bitmap))
                 union |= bitmap
-        if not union:
-            continue
-        eligible_pool = view.md_holders[uri]
+        eligible_pool = view.holders_of(uri)
         wanting = [node for node in member_list if uri in downloads[node]]
-        for index in bit_indices(union):
+        # Pieces every member holds have no receiver: skip them outright.
+        for index in bit_indices(union & ~common):
             mask = 1 << index
             holders = {node for node, bitmap in holder_bitmaps if bitmap & mask}
             eligible_senders = frozenset(holders & eligible_pool)
             if not eligible_senders:
-                continue
-            missing = members - holders
-            if not missing:
                 continue
             requesters = frozenset(
                 node for node in wanting if node not in holders
@@ -128,7 +135,7 @@ def build_piece_candidates(
                     index=index,
                     holders=eligible_senders,
                     requesters=requesters,
-                    missing=frozenset(missing),
+                    missing=members - holders,
                 )
             )
     return candidates
@@ -195,8 +202,13 @@ def build_piece_candidates_reference(
     return candidates
 
 
-def cooperative_rank_key(candidate: PieceCandidate) -> Tuple:
-    """Two-phase cooperative order (§V-A)."""
+def cooperative_rank_key(candidate) -> Tuple:
+    """Two-phase cooperative order (§V-A).
+
+    Ranks the builder's frozen candidates and the scheduler's mutable
+    copies alike (anything with ``requested``, ``requesters``,
+    ``metadata``, ``uri`` and ``index``).
+    """
     phase = 0 if candidate.requested else 1
     return (
         phase,
@@ -207,9 +219,9 @@ def cooperative_rank_key(candidate: PieceCandidate) -> Tuple:
     )
 
 
-def tit_for_tat_rank_key(candidate: PieceCandidate, sender: NodeState) -> Tuple:
-    """Credit-weighted order for a specific sender (§V-B)."""
-    weight = sender.credits.weight_of_requesters(candidate.requesters)
+def tit_for_tat_rank_key(candidate, sender: NodeState, now: float) -> Tuple:
+    """Credit-weighted order for a specific sender at ``now`` (§V-B)."""
+    weight = sender.credits.weight_of_requesters(candidate.requesters, now)
     phase = 0 if candidate.requested else 1
     return (
         -weight,
@@ -239,12 +251,13 @@ def select_for_sender(
     candidates: Sequence[PieceCandidate],
     sender: NodeState,
     tit_for_tat: bool,
+    now: float,
     limit: Optional[int] = None,
 ) -> List[PieceCandidate]:
     """Rank the piece candidates a sender can transmit (top-k with ``limit``)."""
     own = [c for c in candidates if sender.node in c.holders]
     if tit_for_tat:
-        key = lambda c: tit_for_tat_rank_key(c, sender)  # noqa: E731
+        key = lambda c: tit_for_tat_rank_key(c, sender, now)  # noqa: E731
     else:
         key = cooperative_rank_key
     if limit is not None:

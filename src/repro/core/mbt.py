@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from repro.catalog.adversary import PIRATE_URI_PREFIX
 from repro.catalog.files import IntegrityError, piece_payload
@@ -196,6 +196,10 @@ class _MutableMetaCandidate:
     def requesters(self) -> Set[NodeId]:
         return self.own_requesters | self.proxy_requesters
 
+    @property
+    def requested(self) -> bool:
+        return bool(self.own_requesters or self.proxy_requesters)
+
 
 class _MutablePieceCandidate:
     """Scheduler-internal mutable view of a piece candidate."""
@@ -212,6 +216,10 @@ class _MutablePieceCandidate:
     @property
     def uri(self) -> Uri:
         return self.metadata.uri
+
+    @property
+    def requested(self) -> bool:
+        return bool(self.requesters)
 
 
 class MobileBitTorrent:
@@ -633,23 +641,6 @@ class MobileBitTorrent:
         else:
             self._metadata_cyclic_loop(states, members, candidates, budget, now, view)
 
-    def _meta_key(self, cand: _MutableMetaCandidate) -> Tuple:
-        phase = 0 if (cand.own_requesters or cand.proxy_requesters) else 1
-        return (
-            phase,
-            -len(cand.own_requesters),
-            -len(cand.proxy_requesters),
-            -cand.metadata.popularity,
-            cand.metadata.uri,
-        )
-
-    def _meta_tft_key(
-        self, cand: _MutableMetaCandidate, sender: NodeState, now: float
-    ) -> Tuple:
-        weight = sender.credits.weight_of_requesters(cand.requesters, now)
-        phase = 0 if (cand.own_requesters or cand.proxy_requesters) else 1
-        return (-weight, phase, -cand.metadata.popularity, cand.metadata.uri)
-
     def _metadata_coordinator_loop(
         self,
         states: Mapping[NodeId, NodeState],
@@ -670,7 +661,7 @@ class MobileBitTorrent:
             for c in candidates:
                 senders = self._senders_of(c, states)
                 if senders:
-                    sendable.append((self._meta_key(c), c, senders))
+                    sendable.append((discovery.cooperative_rank_key(c), c, senders))
             if not sendable:
                 break
             __key, best, senders = min(sendable)
@@ -708,7 +699,7 @@ class MobileBitTorrent:
             # so the pop order equals the former full sort's order while
             # usually materializing only the first element.
             heap = [
-                (self._meta_tft_key(c, sender, now), c)
+                (discovery.tit_for_tat_rank_key(c, sender, now), c)
                 for c in candidates
                 if sender_id in c.holders and c.missing
             ]
@@ -870,23 +861,6 @@ class MobileBitTorrent:
         else:
             self._piece_cyclic_loop(states, members, candidates, budget, now)
 
-    def _piece_key(self, cand: _MutablePieceCandidate) -> Tuple:
-        phase = 0 if cand.requesters else 1
-        return (
-            phase,
-            -len(cand.requesters),
-            -cand.metadata.popularity,
-            cand.uri,
-            cand.index,
-        )
-
-    def _piece_tft_key(
-        self, cand: _MutablePieceCandidate, sender: NodeState, now: float
-    ) -> Tuple:
-        weight = sender.credits.weight_of_requesters(cand.requesters, now)
-        phase = 0 if cand.requesters else 1
-        return (-weight, phase, -cand.metadata.popularity, cand.uri, cand.index)
-
     def _piece_coordinator_loop(
         self,
         states: Mapping[NodeId, NodeState],
@@ -904,7 +878,7 @@ class MobileBitTorrent:
             for c in candidates:
                 senders = self._piece_senders(c, states)
                 if senders:
-                    sendable.append((self._piece_key(c), c, senders))
+                    sendable.append((download.cooperative_rank_key(c), c, senders))
             if not sendable:
                 break
             __key, best, senders = min(sendable)
@@ -945,7 +919,7 @@ class MobileBitTorrent:
             # Lazy top-k, as in the metadata cyclic loop: unique rank
             # keys make heap-pop order equal the former full sort.
             heap = [
-                (self._piece_tft_key(c, sender, now), c)
+                (download.tit_for_tat_rank_key(c, sender, now), c)
                 for c in candidates
                 if sender_id in c.holders and c.missing
             ]

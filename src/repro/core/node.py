@@ -16,8 +16,10 @@ A node runs a file-discovery process and a file-download process
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.catalog.files import IntegrityError, PieceStore
 from repro.catalog.metadata import Metadata, PublisherRegistry, verify_metadata
@@ -92,6 +94,11 @@ class MetadataStore:
     the caller's concern (filter at query time). ``mutations`` counts
     every content change and lets callers key derived caches off store
     state without subscribing to individual operations.
+
+    An **expiry horizon** — a lower bound on the earliest
+    ``created_at + ttl`` in the store — lets :meth:`live_records` hand
+    out the store's own mapping while nothing can have expired yet, so
+    the contact path never copies a whole store to filter liveness.
     """
 
     def __init__(self, capacity: Optional[int] = None, policy: str = "popularity") -> None:
@@ -112,6 +119,10 @@ class MetadataStore:
         self._records: Dict[Uri, Metadata] = {}
         #: Inverted index: name token -> URIs of records carrying it.
         self._token_index: Dict[str, Set[Uri]] = {}
+        #: Lower bound on the earliest expiry (``created_at + ttl``) of
+        #: any stored record: lowered by :meth:`add`, recomputed exactly
+        #: by :meth:`drop_expired` and :meth:`clear`.
+        self._horizon = math.inf
 
     def __contains__(self, uri: Uri) -> bool:
         return uri in self._records
@@ -125,15 +136,6 @@ class MetadataStore:
             self._records[uri] = self._records.pop(uri)  # touch
         return record
 
-    def peek(self, uri: Uri) -> Optional[Metadata]:
-        """Look up a record *without* touching LRU recency.
-
-        Index-driven scans (candidate builders, wanted-set refreshes)
-        must use this instead of :meth:`get`: they are bookkeeping, not
-        user accesses, and must not perturb the eviction order.
-        """
-        return self._records.get(uri)
-
     @property
     def uris(self) -> FrozenSet[Uri]:
         return frozenset(self._records)
@@ -141,6 +143,24 @@ class MetadataStore:
     def records(self) -> List[Metadata]:
         """All records, unordered."""
         return list(self._records.values())
+
+    def live_records(self, now: float) -> Mapping[Uri, Metadata]:
+        """Read-only ``uri -> record`` map of the records live at ``now``.
+
+        While ``now`` is below the expiry horizon every stored record is
+        live and this is a view of the store's own mapping (no copy);
+        past it, a filtered dict. Callers must not mutate the result,
+        and must not hold it across store mutations. Lookups through it
+        are bookkeeping and do not touch LRU recency (only :meth:`get`
+        does).
+        """
+        if now < self._horizon:
+            return MappingProxyType(self._records)
+        return {
+            uri: record
+            for uri, record in self._records.items()
+            if now < record.created_at + record.ttl
+        }
 
     def uris_in_order(self) -> Iterator[Uri]:
         """URIs in store order (insertion order; LRU recency order)."""
@@ -157,19 +177,15 @@ class MetadataStore:
         self.index_queries += 1
         if not tokens:
             return set(self._records)
+        get = self._token_index.get
         postings = []
         for token in tokens:
-            posting = self._token_index.get(token)
+            posting = get(token)
             if not posting:
                 return set()
             postings.append(posting)
         postings.sort(key=len)
-        result = set(postings[0])
-        for posting in postings[1:]:
-            result &= posting
-            if not result:
-                break
-        return result
+        return postings[0].intersection(*postings[1:])
 
     def _index_add(self, record: Metadata) -> None:
         for token in record.token_set:
@@ -210,6 +226,9 @@ class MetadataStore:
         self._records[metadata.uri] = metadata
         if old is None:
             self._index_add(metadata)
+        expires_at = metadata.created_at + metadata.ttl
+        if expires_at < self._horizon:
+            self._horizon = expires_at
         self.mutations += 1
         if new and self._capacity is not None and len(self._records) > self._capacity:
             at = now if now is not None else metadata.created_at
@@ -242,11 +261,19 @@ class MetadataStore:
 
     def drop_expired(self, now: float) -> List[Uri]:
         """Remove expired records; return removed URIs."""
-        dead = [uri for uri, md in self._records.items() if not md.is_live(now)]
+        dead = []
+        horizon = math.inf
+        for uri, md in self._records.items():
+            expires_at = md.created_at + md.ttl
+            if now >= expires_at:
+                dead.append(uri)
+            elif expires_at < horizon:
+                horizon = expires_at
         for uri in dead:
             self._index_remove(self._records.pop(uri))
         if dead:
             self.mutations += 1
+        self._horizon = horizon
         return dead
 
     def clear(self) -> None:
@@ -257,7 +284,42 @@ class MetadataStore:
         """
         self._records.clear()
         self._token_index.clear()
+        self._horizon = math.inf
         self.mutations += 1
+
+
+_LiveCache = Tuple[int, float, List[Query], float, float]
+_TokensCache = Tuple[int, float, Optional[List[Query]], Tuple[FrozenSet[str], ...]]
+
+
+def _live_window(queries: Iterable[Query], now: float) -> Tuple[List[Query], float, float]:
+    """Queries live at ``now`` and the window ``[lo, hi)`` around ``now``.
+
+    ``lo`` is the latest ``created_at``/``expires_at`` at or before
+    ``now`` and ``hi`` the earliest after it, so every query's
+    :meth:`~repro.catalog.query.Query.is_live` answer is the same for
+    any instant in the window.
+    """
+    live: List[Query] = []
+    lo = -math.inf
+    hi = math.inf
+    for query in queries:
+        created = query.created_at
+        if created > now:
+            if created < hi:
+                hi = created
+            continue
+        expires = query.expires_at
+        if expires <= now:
+            if expires > lo:
+                lo = expires
+            continue
+        live.append(query)
+        if created > lo:
+            lo = created
+        if expires < hi:
+            hi = expires
+    return live, lo, hi
 
 
 class NodeState:
@@ -329,10 +391,15 @@ class NodeState:
         #: query added, foreign queries stored, expiry, wipe); keys the
         #: memoized live-query and token-tuple views below.
         self._query_version = 0
-        self._own_live_cache: Tuple[int, float, List[Query]] = (-1, -1.0, [])
-        self._foreign_live_cache: Tuple[int, float, List[Query]] = (-1, -1.0, [])
-        self._own_tokens_cache: Tuple[int, float, Tuple[FrozenSet[str], ...]] = (-1, -1.0, ())
-        self._foreign_tokens_cache: Tuple[int, float, Tuple[FrozenSet[str], ...]] = (-1, -1.0, ())
+        #: Live-query memos: (query version, instant, live list, lo, hi)
+        #: where ``[lo, hi)`` is the window in which no stored query
+        #: starts or expires (see :func:`_live_window`).
+        self._own_live_cache: _LiveCache = (-1, -1.0, [], 0.0, 0.0)
+        self._foreign_live_cache: _LiveCache = (-1, -1.0, [], 0.0, 0.0)
+        #: Token-tuple memos: (query version, instant, the live list the
+        #: tokens were taken from, tokens).
+        self._own_tokens_cache: _TokensCache = (-1, -1.0, None, ())
+        self._foreign_tokens_cache: _TokensCache = (-1, -1.0, None, ())
         #: Deterministic cache instrumentation, aggregated into the
         #: run-level ``perf.*`` counters by the simulation runner.
         self.wanted_cache_hits = 0
@@ -349,21 +416,44 @@ class NodeState:
         self._version += 1
         self._query_version += 1
 
+    def _live_memo(
+        self, cache: _LiveCache, stored: Callable[[], Iterable[Query]], now: float
+    ) -> _LiveCache:
+        """Advance a live-query memo to ``now``, counting one hit or miss.
+
+        A hit is an unchanged query population at the same instant. On
+        any other instant the lookup is a miss, but while ``now`` stays
+        in the cached window no query starts or expires, so the live
+        list is reused instead of rescanned.
+        """
+        version, cached_now, live, lo, hi = cache
+        if version == self._query_version:
+            if cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
+                self.query_cache_hits += 1
+                return cache
+            if lo <= now < hi:
+                self.query_cache_misses += 1
+                return (version, now, live, lo, hi)
+        self.query_cache_misses += 1
+        live, lo, hi = _live_window(stored(), now)
+        return (self._query_version, now, live, lo, hi)
+
+    def _own_live(self, now: float) -> List[Query]:
+        """Internal live own-query list (memoized; callers must not mutate)."""
+        cache = self._live_memo(self._own_live_cache, lambda: self._own_queries, now)
+        self._own_live_cache = cache
+        return cache[2]
+
     def own_queries(self, now: float) -> List[Query]:
         """The node's live standing queries.
 
         Memoized per ``(query population, now)`` — contact processing
-        asks several times at the same instant. Returns a fresh list;
-        callers may extend it.
+        asks several times at the same instant — and, across instants,
+        reused while ``now`` stays inside the window in which no stored
+        query starts or expires. Returns a fresh list; callers may
+        extend it.
         """
-        version, cached_now, cached = self._own_live_cache
-        if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
-            self.query_cache_hits += 1
-            return list(cached)
-        self.query_cache_misses += 1
-        live = [q for q in self._own_queries if q.is_live(now)]
-        self._own_live_cache = (self._query_version, now, live)
-        return list(live)
+        return list(self._own_live(now))
 
     def store_foreign_queries(self, peer: NodeId, queries: Iterable[Query]) -> None:
         """Remember a frequent contact's queries (full MBT only)."""
@@ -376,21 +466,21 @@ class NodeState:
                 known.add(key)
                 self._query_version += 1
 
-    def foreign_queries(self, now: float) -> List[Query]:
-        """Live stored queries of frequent contacts (memoized)."""
-        version, cached_now, cached = self._foreign_live_cache
-        if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
-            self.query_cache_hits += 1
-            return list(cached)
-        self.query_cache_misses += 1
-        live: List[Query] = []
+    def _foreign_live(self, now: float) -> List[Query]:
+        """Internal live foreign-query list (memoized like :meth:`_own_live`)."""
+        cache = self._live_memo(self._foreign_live_cache, self._stored_foreign, now)
+        self._foreign_live_cache = cache
+        return cache[2]
+
+    def _stored_foreign(self) -> List[Query]:
         # detlint: ignore[DET002] -- insertion-ordered dict: peers are added
         # in deterministic contact-processing order, and reordering here
         # would change the advertised query order (and thus the results).
-        for queries in self._foreign_queries.values():
-            live.extend(q for q in queries if q.is_live(now))
-        self._foreign_live_cache = (self._query_version, now, live)
-        return list(live)
+        return [q for queries in self._foreign_queries.values() for q in queries]
+
+    def foreign_queries(self, now: float) -> List[Query]:
+        """Live stored queries of frequent contacts (memoized)."""
+        return list(self._foreign_live(now))
 
     def carried_queries(self, now: float, include_foreign: bool) -> List[Query]:
         """Queries the node advertises and pulls for.
@@ -412,27 +502,31 @@ class NodeState:
 
     def own_query_tokens(self, now: float) -> Tuple[FrozenSet[str], ...]:
         """Token sets of the node's own live queries (memoized)."""
-        version, cached_now, cached = self._own_tokens_cache
+        version, cached_now, source, cached = self._own_tokens_cache
         if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
             return cached
-        tokens = tuple(q.tokens for q in self.own_queries(now))
-        self._own_tokens_cache = (self._query_version, now, tokens)
-        return tokens
+        live = self._own_live(now)
+        if live is not source:
+            cached = tuple(q.tokens for q in live)
+        self._own_tokens_cache = (self._query_version, now, live, cached)
+        return cached
 
     def foreign_query_tokens(self, now: float) -> Tuple[FrozenSet[str], ...]:
         """Token sets carried for frequent contacts (memoized)."""
-        version, cached_now, cached = self._foreign_tokens_cache
+        version, cached_now, source, cached = self._foreign_tokens_cache
         if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
             return cached
-        tokens = tuple(q.tokens for q in self.foreign_queries(now))
-        self._foreign_tokens_cache = (self._query_version, now, tokens)
-        return tokens
+        live = self._foreign_live(now)
+        if live is not source:
+            cached = tuple(q.tokens for q in live)
+        self._foreign_tokens_cache = (self._query_version, now, live, cached)
+        return cached
 
     def unmatched_own_queries(self, now: float) -> List[Query]:
         """Own live queries with no matching metadata in the store."""
         return [
             query
-            for query in self.own_queries(now)
+            for query in self._own_live(now)
             if not self.metadata.matching_uris(query.tokens)
         ]
 
@@ -463,35 +557,35 @@ class NodeState:
             self.wanted_cache_hits += 1
             return cached
         self.wanted_cache_misses += 1
-        peek = self.metadata.peek
+        store = self.metadata
+        live = store.live_records(now)
+        is_complete = self.pieces.is_complete
+        best_only = self.selection_policy == "best"
         wanted: Set[Uri] = set()
         # Equal frozensets built in different element orders can still
         # iterate differently (hash-collision layout), and callers such
         # as internet_sync iterate this set to sequence downloads — so
         # insert in the historical (query, store-scan) order the full
         # scan produced, not in index-intersection order. The position
-        # map is O(store), so build it only once a query matches.
+        # map is O(store), so build it only once a query has two or
+        # more hits; a single hit needs no ordering.
         position: Optional[Dict[Uri, int]] = None
-        for query in self.own_queries(now):
-            hits = self.metadata.matching_uris(query.tokens)
+        for query in self._own_live(now):
+            hits = store.matching_uris(query.tokens)
             if not hits:
                 continue
-            if position is None:
-                position = {
-                    uri: i for i, uri in enumerate(self.metadata.uris_in_order())
-                }
-            matched = sorted(hits, key=position.__getitem__)
-            matches = [
-                record
-                for record in map(peek, matched)
-                if record is not None and record.is_live(now)
-            ]
+            ordered: Iterable[Uri] = hits
+            if len(hits) > 1:
+                if position is None:
+                    position = {uri: i for i, uri in enumerate(store.uris_in_order())}
+                ordered = sorted(hits, key=position.__getitem__)
+            matches = [record for record in map(live.get, ordered) if record is not None]
             if not matches:
                 continue
-            if self.selection_policy == "best":
+            if best_only:
                 matches = [self._best_match(matches)]
             for record in matches:
-                if not self.pieces.is_complete(record.uri, record.num_pieces):
+                if not is_complete(record.uri, record.num_pieces):
                     wanted.add(record.uri)
         result = frozenset(wanted)
         self._wanted_cache = (self._version, now, result)
@@ -546,7 +640,7 @@ class NodeState:
     def protected_uris(self, now: float) -> FrozenSet[Uri]:
         """Metadata URIs shielded from eviction (they match own queries)."""
         protected: Set[Uri] = set()
-        for query in self.own_queries(now):
+        for query in self._own_live(now):
             protected |= self.metadata.matching_uris(query.tokens)
         return frozenset(protected)
 

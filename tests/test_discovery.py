@@ -149,7 +149,7 @@ class TestTitForTatRanking:
         # Node 1 has earned credit with the sender; node 2 has not.
         sender.credits.reward_requested(NodeId(1))
         cands = discovery.build_metadata_candidates(clique, 0.0, False)
-        ranked = discovery.select_for_sender(cands, sender, tit_for_tat=True)
+        ranked = discovery.select_for_sender(cands, sender, tit_for_tat=True, now=0.0)
         assert ranked[0].metadata.uri == "dtn://fox/rich"
 
     def test_zero_credit_falls_back_to_phase_and_popularity(self, registry, clique):
@@ -162,7 +162,7 @@ class TestTitForTatRanking:
         sender.accept_metadata(popular, 0.0)
         clique[NodeId(1)].add_own_query(make_query(1, requested.uri, ["island"]))
         cands = discovery.build_metadata_candidates(clique, 0.0, False)
-        ranked = discovery.select_for_sender(cands, sender, tit_for_tat=True)
+        ranked = discovery.select_for_sender(cands, sender, tit_for_tat=True, now=0.0)
         assert ranked[0].metadata.uri == "dtn://fox/req"
 
     def test_select_for_sender_filters_to_held_records(self, registry, clique):
@@ -171,5 +171,5 @@ class TestTitForTatRanking:
         clique[NodeId(0)].accept_metadata(mine, 0.0)
         clique[NodeId(1)].accept_metadata(theirs, 0.0)
         cands = discovery.build_metadata_candidates(clique, 0.0, False)
-        ranked = discovery.select_for_sender(cands, clique[NodeId(0)], tit_for_tat=False)
+        ranked = discovery.select_for_sender(cands, clique[NodeId(0)], tit_for_tat=False, now=0.0)
         assert [c.metadata.uri for c in ranked] == ["dtn://fox/mine"]

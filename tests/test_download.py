@@ -133,7 +133,7 @@ class TestTitForTatRanking:
         cands = download.build_piece_candidates(clique, 0.0)
         # Requesters may be empty if the sampled token missed; ensure setup.
         assert any(c.requesters for c in cands)
-        ranked = download.select_for_sender(cands, sender, tit_for_tat=True)
+        ranked = download.select_for_sender(cands, sender, tit_for_tat=True, now=0.0)
         assert ranked[0].uri == "dtn://fox/rich"
 
     def test_select_for_sender_filters(self, registry, clique):
@@ -142,7 +142,7 @@ class TestTitForTatRanking:
         give_pieces(clique[NodeId(0)], mine, [0])
         give_pieces(clique[NodeId(1)], theirs, [0])
         cands = download.build_piece_candidates(clique, 0.0)
-        ranked = download.select_for_sender(cands, clique[NodeId(0)], tit_for_tat=False)
+        ranked = download.select_for_sender(cands, clique[NodeId(0)], tit_for_tat=False, now=0.0)
         assert [c.uri for c in ranked] == ["dtn://fox/mine"]
 
     def test_advertised_downloads_view(self, registry, clique):

@@ -9,23 +9,30 @@ identical candidates and identical ranked selection order.
 
 Also covered: the canonical-record fix (the record chosen for a URI
 held in different-popularity copies must not depend on member
-iteration order), the piece-bitmap primitives, and the metadata
-store's inverted token index staying consistent through evictions.
+iteration order), a view patched through a real metadata phase staying
+equal to a fresh one, the piece-bitmap primitives, the metadata
+store's inverted token index staying consistent through evictions, and
+the liveness horizons (store expiry horizon, query liveness windows)
+agreeing with brute-force filters.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.files import PieceStore, bit_indices, pack_bitmap, piece_payload
+from repro.catalog.server import FileServer, MetadataServer
 from repro.core import discovery, download
 from repro.core.cliqueview import CliqueView
+from repro.core.mbt import MobileBitTorrent, ProtocolConfig, SchedulingMode
 from repro.core.node import MetadataStore, NodeState
+from repro.net.medium import ContactBudget
+from repro.sim.metrics import MetricsCollector
 from repro.types import NodeId, Uri
 
 from conftest import make_metadata, make_node, make_query
@@ -37,10 +44,18 @@ def _tokens_of(rng: random.Random) -> str:
     return " ".join(rng.sample(VOCAB, rng.randint(2, 4)))
 
 
-def _build_clique(registry, seed: int) -> Dict[NodeId, NodeState]:
-    """A randomized clique: records, queries, pieces, bounded stores."""
+def _build_clique(registry, seed: int, n_nodes: Optional[int] = None) -> Dict[NodeId, NodeState]:
+    """A randomized clique: records, queries, pieces, bounded stores.
+
+    Besides records only some members hold, every clique has one to
+    three *shared* URIs that every member stores: sometimes the same
+    copy, sometimes copies differing in popularity or ttl (a short-ttl
+    copy is past expiry at t=50, which makes the URI contested again),
+    with piece bitmaps that are identical across members or not.
+    """
     rng = random.Random(seed)
-    n_nodes = rng.randint(2, 5)
+    if n_nodes is None:
+        n_nodes = rng.randint(2, 5)
     n_files = rng.randint(3, 8)
     files = []
     for i in range(n_files):
@@ -55,6 +70,25 @@ def _build_clique(registry, seed: int) -> Dict[NodeId, NodeState]:
                 ttl=rng.choice((10.0, 1000.0)),  # some expire before t=50
             )
         )
+    shared = []
+    for i in range(rng.randint(1, 3)):
+        uri = f"dtn://fox/s{i:06d}"
+        name = _tokens_of(rng)
+        num_pieces = rng.randint(1, 4)
+        copies = [
+            make_metadata(
+                registry,
+                uri=uri,
+                name=name,
+                num_pieces=num_pieces,
+                popularity=rng.choice((0.3, 0.5)),
+                ttl=rng.choice((10.0, 1000.0, 1000.0)),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            copies.append(copies[0].with_popularity(0.8))
+        shared.append((copies, rng.random() < 0.5))
     states: Dict[NodeId, NodeState] = {}
     for i in range(n_nodes):
         state = make_node(
@@ -62,10 +96,12 @@ def _build_clique(registry, seed: int) -> Dict[NodeId, NodeState]:
             node=i,
             metadata_capacity=rng.choice((None, None, 3)),
         )
+        for copies, __ in shared:
+            state.accept_metadata(rng.choice(copies), 0.0)
         for record in rng.sample(files, rng.randint(0, n_files)):
             state.accept_metadata(record, 0.0)
         for _ in range(rng.randint(0, 2)):
-            target = rng.choice(files)
+            target = rng.choice(files + [copies[0] for copies, __ in shared])
             state.add_own_query(
                 make_query(i, target.uri, rng.sample(sorted(target.token_set), 1))
             )
@@ -79,20 +115,55 @@ def _build_clique(registry, seed: int) -> Dict[NodeId, NodeState]:
             for index in range(record.num_pieces):
                 if rng.random() < 0.6:
                     state.pieces.add_unverified(record.uri, index)
+        for copies, identical in shared:
+            record = copies[0]
+            for index in range(record.num_pieces):
+                held = index == 0 if identical else rng.random() < 0.5
+                if held:
+                    state.pieces.add_unverified(record.uri, index)
         states[NodeId(i)] = state
     return states
+
+
+def _assert_views_equal(patched: CliqueView, fresh: CliqueView, states) -> None:
+    """Every observable of a patched view agrees with a fresh one.
+
+    The patched view may still list URIs that have since become held by
+    every member as contested (a fresh view would not); they can never
+    be candidates, and everything else must match exactly.
+    """
+    members = set(states)
+    extra = set(patched.contested) - set(fresh.contested)
+    assert set(fresh.contested) <= set(patched.contested)
+    assert all(set(patched.holders_of(uri)) == members for uri in extra)
+    uris = set()
+    for state in states.values():
+        uris |= set(state.metadata.uris)
+    for uri in sorted(uris):
+        record = fresh.record_of(uri)
+        assert patched.record_of(uri) == record
+        if record is not None:
+            assert set(patched.holders_of(uri)) == set(fresh.holders_of(uri))
+    for token in VOCAB:
+        tokens = frozenset([token])
+        fresh_hits = fresh.matching_uris(tokens)
+        assert fresh_hits <= patched.matching_uris(tokens) <= fresh_hits | extra
 
 
 class TestBuilderEquivalence:
     """Indexed builders must equal their naive reference on any clique."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000), include_foreign=st.booleans())
-    def test_metadata_candidates_match_reference(self, seed, include_foreign):
+    @given(
+        seed=st.integers(0, 10_000),
+        include_foreign=st.booleans(),
+        n_nodes=st.sampled_from((2, 3, 5)),
+    )
+    def test_metadata_candidates_match_reference(self, seed, include_foreign, n_nodes):
         from repro.catalog.metadata import PublisherRegistry
 
         registry = PublisherRegistry(master_seed=42)
-        states = _build_clique(registry, seed)
+        states = _build_clique(registry, seed, n_nodes)
         now = 5.0 if seed % 2 else 50.0  # after some records expired
         indexed = discovery.build_metadata_candidates(states, now, include_foreign)
         reference = discovery.build_metadata_candidates_reference(
@@ -110,16 +181,16 @@ class TestBuilderEquivalence:
         for sender in states.values():
             for tft in (False, True):
                 assert discovery.select_for_sender(
-                    indexed, sender, tft
-                ) == discovery.select_for_sender(reference, sender, tft)
+                    indexed, sender, tft, now
+                ) == discovery.select_for_sender(reference, sender, tft, now)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_piece_candidates_match_reference(self, seed):
+    @given(seed=st.integers(0, 10_000), n_nodes=st.sampled_from((2, 3, 5)))
+    def test_piece_candidates_match_reference(self, seed, n_nodes):
         from repro.catalog.metadata import PublisherRegistry
 
         registry = PublisherRegistry(master_seed=42)
-        states = _build_clique(registry, seed)
+        states = _build_clique(registry, seed, n_nodes)
         now = 5.0 if seed % 2 else 50.0
         indexed = download.build_piece_candidates(states, now)
         reference = download.build_piece_candidates_reference(states, now)
@@ -134,24 +205,65 @@ class TestBuilderEquivalence:
         for sender in states.values():
             for tft in (False, True):
                 assert download.select_for_sender(
-                    indexed, sender, tft
-                ) == download.select_for_sender(reference, sender, tft)
+                    indexed, sender, tft, now
+                ) == download.select_for_sender(reference, sender, tft, now)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_shared_view_equals_fresh_builds(self, seed):
+    @given(seed=st.integers(0, 10_000), n_nodes=st.sampled_from((2, 3, 5)))
+    def test_shared_view_equals_fresh_builds(self, seed, n_nodes):
         """One CliqueView reused across both phases matches fresh builds."""
         from repro.catalog.metadata import PublisherRegistry
 
         registry = PublisherRegistry(master_seed=42)
-        states = _build_clique(registry, seed)
+        states = _build_clique(registry, seed, n_nodes)
         view = CliqueView(states, 5.0)
+        # The view materializes exactly the URIs some members hold live
+        # and others do not.
+        live = [
+            {r.uri for r in state.metadata.records() if r.is_live(5.0)}
+            for state in states.values()
+        ]
+        assert view.contested == sorted(set.union(*live) - set.intersection(*live))
         assert set(
             discovery.build_metadata_candidates(states, 5.0, True, view=view)
         ) == set(discovery.build_metadata_candidates(states, 5.0, True))
         assert set(download.build_piece_candidates(states, 5.0, view=view)) == set(
             download.build_piece_candidates(states, 5.0)
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_nodes=st.sampled_from((2, 3, 5)),
+        scheduling=st.sampled_from((SchedulingMode.COORDINATOR, SchedulingMode.CYCLIC)),
+    )
+    def test_view_patched_by_metadata_phase_equals_fresh_view(
+        self, seed, n_nodes, scheduling
+    ):
+        """note_holder/mark_dirty over a real metadata phase keep the view exact."""
+        from repro.catalog.metadata import PublisherRegistry
+
+        registry = PublisherRegistry(master_seed=42)
+        states = _build_clique(registry, seed, n_nodes)
+        now = 5.0 if seed % 2 else 50.0
+        engine = MobileBitTorrent(
+            states,
+            MetadataServer(),
+            FileServer(),
+            MetricsCollector(),
+            ProtocolConfig(budget=ContactBudget(4, 4), scheduling=scheduling),
+        )
+        view = CliqueView(states, now)
+        engine._run_metadata_phase(states, frozenset(states), now, view=view)
+        view.refresh()
+        fresh = CliqueView(states, now)
+        _assert_views_equal(view, fresh, states)
+        assert set(download.build_piece_candidates(states, now, view=view)) == set(
+            download.build_piece_candidates(states, now, view=fresh)
+        )
+        assert set(
+            discovery.build_metadata_candidates(states, now, True, view=view)
+        ) == set(discovery.build_metadata_candidates(states, now, True, view=fresh))
 
 
 class TestCanonicalRecord:
@@ -274,6 +386,113 @@ class TestTokenIndexConsistency:
                 store, tokens
             )
         assert store.matching_uris(frozenset()) == {r.uri for r in store.records()}
+
+
+class TestLivenessHorizons:
+    """Horizon-memoized liveness views equal brute-force filters."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_live_records_survives_churn(self, seed):
+        from repro.catalog.metadata import PublisherRegistry
+
+        registry = PublisherRegistry(master_seed=42)
+        rng = random.Random(seed)
+        store = MetadataStore(
+            capacity=rng.choice((None, 3, 5)),
+            policy=rng.choice(("popularity", "lru", "fifo", "utility")),
+        )
+        records = [
+            make_metadata(
+                registry,
+                uri=f"dtn://fox/f{i % 8:06d}",  # repeated URIs replace copies
+                name=_tokens_of(rng),
+                popularity=rng.choice((0.1, 0.5, 0.9)),
+                created_at=float(rng.randint(0, 40)),
+                ttl=float(rng.choice((5, 10, 30))),
+            )
+            for i in range(14)
+        ]
+        clock = 0.0
+        for _ in range(30):
+            op = rng.random()
+            if op < 0.6:
+                store.add(rng.choice(records), now=clock)
+            elif op < 0.8:
+                store.drop_expired(clock)
+            elif op < 0.85:
+                store.clear()
+            else:
+                clock += rng.choice((0.0, 1.0, 5.0, 10.0))
+            # Probe at, just before and after record boundaries too.
+            for now in (clock, clock + 5.0, clock + 10.0, clock + 30.0):
+                expected = {r.uri: r for r in store.records() if r.is_live(now)}
+                assert dict(store.live_records(now)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_live_queries_across_boundaries(self, seed):
+        from repro.catalog.metadata import PublisherRegistry
+
+        registry = PublisherRegistry(master_seed=42)
+        rng = random.Random(seed)
+        state = make_node(registry, node=0)
+        own: List = []
+        foreign: Dict[NodeId, List] = {}
+
+        def query(node: int) -> object:
+            created = float(rng.randint(0, 20))
+            return make_query(
+                node,
+                f"dtn://fox/f{rng.randint(0, 5)}",
+                rng.sample(VOCAB, rng.randint(1, 2)),
+                created_at=created,
+                expires_at=created + float(rng.randint(1, 15)),
+            )
+
+        def add_some() -> None:
+            for _ in range(rng.randint(0, 2)):
+                q = query(0)
+                state.add_own_query(q)
+                own.append(q)
+            if rng.random() < 0.5:
+                peer = NodeId(rng.choice((7, 8, 9)))
+                batch = [query(int(peer)) for _ in range(rng.randint(1, 2))]
+                state.store_foreign_queries(peer, batch)
+                stored = foreign.setdefault(peer, [])
+                for q in batch:
+                    if all((p.target_uri, p.tokens) != (q.target_uri, q.tokens) for p in stored):
+                        stored.append(q)
+
+        add_some()
+        # Every boundary, the instants in between, and repeats.
+        times = sorted(
+            {float(t) / 2 for t in range(0, 80)} | {float(rng.randint(0, 40))}
+        )
+        for now in times:
+            if rng.random() < 0.1:
+                add_some()
+            if rng.random() < 0.05:
+                state.expire(now)
+                own[:] = [q for q in own if q.is_live(now)]
+                for peer in list(foreign):
+                    foreign[peer] = [q for q in foreign[peer] if q.is_live(now)]
+                    if not foreign[peer]:
+                        del foreign[peer]
+            for _ in range(rng.randint(1, 2)):
+                expected_own = [q for q in own if q.is_live(now)]
+                expected_foreign = [
+                    q for queries in foreign.values() for q in queries if q.is_live(now)
+                ]
+                calls = state.query_cache_hits + state.query_cache_misses
+                assert state.own_queries(now) == expected_own
+                assert state.foreign_queries(now) == expected_foreign
+                # One hit or miss per list access, however it was served.
+                assert state.query_cache_hits + state.query_cache_misses == calls + 2
+                assert state.own_query_tokens(now) == tuple(q.tokens for q in expected_own)
+                assert state.foreign_query_tokens(now) == tuple(
+                    q.tokens for q in expected_foreign
+                )
 
 
 class TestWantedOrderDeterminism:
