@@ -3,10 +3,8 @@
 Runs the core benchmark workloads — ``bench_runtime`` (simulator +
 wire-level runtime on the DieselNet and NUS fast traces),
 ``bench_parallel_sweep`` (one DieselNet sweep grid through
-:func:`repro.exec.run_many`), ``bench_trace_gen`` (grid-vs-reference
-contact extraction plus a cold/warm disk-cache round trip) and
-``bench_catalog`` (DHT-sharded vs flat metadata server on the
-million-file Internet-side campaign) — and writes
+:func:`repro.exec.run_many`) and ``bench_trace_gen`` (grid-vs-reference
+contact extraction plus a cold/warm disk-cache round trip) — and writes
 a JSON record of wall-clock times, simulator events/s and any
 ``perf.*`` instrumentation counters the engine exposes. The committed ``BENCH_core.json`` is the trajectory
 anchor every perf claim in this repository is measured against.
@@ -165,13 +163,6 @@ def measure_trace_gen() -> Dict[str, Any]:
         }
 
 
-def measure_catalog() -> Dict[str, Any]:
-    """bench_catalog: sharded-vs-flat server at the million-file scale."""
-    from bench_catalog import FULL_FILES, FULL_NODES, measure_catalog as _measure
-
-    return _measure(FULL_FILES, FULL_NODES)
-
-
 def measure(label: str, quick: bool = False) -> Dict[str, Any]:
     import os
 
@@ -188,7 +179,6 @@ def measure(label: str, quick: bool = False) -> Dict[str, Any]:
     if not quick:
         record["bench_parallel_sweep"] = measure_parallel_sweep()
         record["bench_trace_gen"] = measure_trace_gen()
-        record["bench_catalog"] = measure_catalog()
     return record
 
 

@@ -17,8 +17,7 @@ A *package root* is any directory literally named ``repro`` that
 contains linted files, so the same checks run against the live tree
 (``src/repro``) and against corpus mini-trees
 (``tests/detlint_corpus/contracts_project/src/repro``). Checks whose
-source files are absent from a (partial) tree skip silently — except
-a half-missing seam, which is exactly the drift CON005 exists for.
+source files are absent from a (partial) tree skip silently.
 """
 
 from __future__ import annotations
@@ -297,9 +296,6 @@ class _Tree:
             self._cache[rel] = result
         return self._cache[rel]
 
-    def exists(self, rel: str) -> bool:
-        return (self.root / rel).is_file()
-
     def docs_text(self, name: str) -> Optional[str]:
         for candidate in (
             self.root.parent.parent / "docs" / name,
@@ -538,105 +534,34 @@ def _check_knobs(tree: _Tree) -> List[Finding]:
 
 
 def _seam_findings(tree: _Tree, seam: SeamSpec) -> List[Finding]:
-    left_parsed = tree.parse(seam.left[0])
-    right_parsed = tree.parse(seam.right[0])
-    if left_parsed is None and right_parsed is None:
-        if tree.exists(seam.left[0]) or tree.exists(seam.right[0]):
-            return []  # unparseable: the per-file pass reports DET000
-        return []  # partial tree without this seam at all
-    findings = []
-    for parsed, anchor, (rel, qualname) in (
-        (left_parsed, right_parsed, seam.left),
-        (right_parsed, left_parsed, seam.right),
-    ):
-        if parsed is None and anchor is not None and not tree.exists(rel):
-            findings.append(
-                _finding(
-                    anchor[1], 1, 1, "CON005",
-                    f"seam {seam.name!r}: counterpart {rel} (holding "
-                    f"{qualname}) is missing from the tree",
-                )
-            )
-    if findings or left_parsed is None or right_parsed is None:
-        return findings
-    if seam.kind == "class":
-        return _class_seam(left_parsed, right_parsed, seam)
-    left_fn = _function_def(left_parsed[0], seam.left[1])
-    right_fn = _function_def(right_parsed[0], seam.right[1])
-    for fn, parsed, qualname in (
-        (left_fn, left_parsed, seam.left[1]),
-        (right_fn, right_parsed, seam.right[1]),
-    ):
-        if fn is None:
-            findings.append(
-                _finding(
-                    parsed[1], 1, 1, "CON005",
-                    f"seam {seam.name!r}: {qualname} not found at module "
-                    "level",
-                )
-            )
-    if findings or left_fn is None or right_fn is None:
-        return findings
-    left_params, right_params = _params(left_fn), _params(right_fn)
-    if left_params[: len(right_params)] != right_params:
-        findings.append(
+    parsed = tree.parse(seam.path)
+    if parsed is None:
+        return []  # absent from a partial tree, or DET000 via the per-file pass
+    module, path = parsed
+    optimized = _function_def(module, seam.optimized)
+    reference = _function_def(module, seam.reference)
+    if optimized is None or reference is None:
+        return [
             _finding(
-                right_parsed[1], right_fn.lineno, 1, "CON005",
-                f"seam {seam.name!r}: reference signature {right_params} is "
-                f"not an ordered prefix of {left_params}",
+                path, 1, 1, "CON005",
+                f"seam {seam.name!r}: {qualname} not found at module level",
             )
+            for qualname, fn in (
+                (seam.optimized, optimized),
+                (seam.reference, reference),
+            )
+            if fn is None
+        ]
+    optimized_params, reference_params = _params(optimized), _params(reference)
+    if optimized_params[: len(reference_params)] == reference_params:
+        return []
+    return [
+        _finding(
+            path, reference.lineno, 1, "CON005",
+            f"seam {seam.name!r}: reference signature {reference_params} "
+            f"is not an ordered prefix of {optimized_params}",
         )
-    return findings
-
-
-def _class_seam(
-    left_parsed: Tuple[ast.Module, str],
-    right_parsed: Tuple[ast.Module, str],
-    seam: SeamSpec,
-) -> List[Finding]:
-    findings = []
-    left_cls = _class_def(left_parsed[0], seam.left[1])
-    right_cls = _class_def(right_parsed[0], seam.right[1])
-    for cls, parsed, qualname in (
-        (left_cls, left_parsed, seam.left[1]),
-        (right_cls, right_parsed, seam.right[1]),
-    ):
-        if cls is None:
-            findings.append(
-                _finding(
-                    parsed[1], 1, 1, "CON005",
-                    f"seam {seam.name!r}: class {qualname} not found",
-                )
-            )
-    if findings or left_cls is None or right_cls is None:
-        return findings
-    right_methods = {
-        node.name: node
-        for node in right_cls.body
-        if isinstance(node, ast.FunctionDef)
-    }
-    for node in left_cls.body:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-            continue
-        twin = right_methods.get(node.name)
-        if twin is None:
-            findings.append(
-                _finding(
-                    right_parsed[1], right_cls.lineno, 1, "CON005",
-                    f"seam {seam.name!r}: {seam.right[1]} lacks method "
-                    f"{node.name!r} of {seam.left[1]}",
-                )
-            )
-        elif _params(twin) != _params(node):
-            findings.append(
-                _finding(
-                    right_parsed[1], twin.lineno, 1, "CON005",
-                    f"seam {seam.name!r}: {seam.right[1]}.{node.name} "
-                    f"signature {_params(twin)} diverges from "
-                    f"{seam.left[1]}.{node.name} {_params(node)}",
-                )
-            )
-    return findings
+    ]
 
 
 # -- CON006: wire-schema drift ----------------------------------------------

@@ -44,8 +44,8 @@ class CounterSpec:
         a pure function of the simulation inputs; safe inside result
         fingerprints and the serial-vs-parallel equality checks;
     ``"excluded"``
-        varies between identical runs (wall-clock timers) or between
-        implementations (kernel/shard internals); stripped by
+        varies between identical runs (wall-clock timers) or records
+        how a server did its work (catalog cache internals); stripped by
         :func:`repro.detlint.sanitizer.result_fingerprint`;
     ``"local"``
         process-local diagnostics (trace-cache hits) that are never
@@ -129,11 +129,10 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     # perf.time_us.*: wall-clock phase timers under --profile; suffixes
     # are phase names minted at the call site, so the family stays open.
     CounterSpec("perf.time_us.", "excluded", open_prefix=True, note="phase timers"),
-    # perf.catalog.*: sharded-catalog internals; flat and sharded servers
-    # must fingerprint identically, so the family is excluded.
-    CounterSpec("perf.catalog.", "excluded", note="catalog shard/bloom internals"),
-    CounterSpec("perf.catalog.shard_lookups", "excluded"),
-    CounterSpec("perf.catalog.route_hops", "excluded"),
+    # perf.catalog.*: Internet-side server internals (heap pops, cached
+    # ranked-view rebuilds, bloom screens); how the catalog does its
+    # work must not change a fingerprint, so the family is excluded.
+    CounterSpec("perf.catalog.", "excluded", note="catalog cache/bloom internals"),
     CounterSpec("perf.catalog.heap_expiries", "excluded"),
     CounterSpec("perf.catalog.ranked_rebuilds", "excluded"),
     CounterSpec("perf.catalog.bloom_screens", "excluded"),

@@ -1,23 +1,15 @@
-"""The seam manifest: dual implementations that must stay compatible.
+"""The seam manifest: reference twins that must stay compatible.
 
-The catalog knob swaps the sharded server in for the flat one, and the
-naive ``*_reference`` twins remain the executable specification of
-each optimized path. All of these are duck-typed — nothing but
-convention keeps their signatures aligned — so CON005 checks each
-manifest entry against the parsed source:
+The naive ``*_reference`` twins remain the executable specification of
+each optimized path. Both live in one module and are duck-typed —
+nothing but convention keeps their signatures aligned — so CON005
+checks each manifest entry against the parsed source: the reference
+twin's parameter list must be an ordered prefix of the optimized
+implementation's (the optimized path may add trailing opt-in
+parameters such as ``view``). A missing function on either side is
+itself a CON005 finding, so deleting half a seam cannot pass silently.
 
-``"reference"``
-    the reference twin's parameter list must be an ordered prefix of
-    the optimized implementation's (the optimized path may add
-    trailing opt-in parameters such as ``view``);
-``"class"``
-    every public method of the left class must exist on the right
-    class with an identical ordered parameter list (the drop-in may
-    add extra methods, e.g. ``shard_sizes``).
-
-Paths are relative to the ``repro`` package root. A missing symbol —
-or a missing file while its counterpart still exists — is itself a
-CON005 finding, so deleting half a seam cannot pass silently.
+Paths are relative to the ``repro`` package root.
 """
 
 from __future__ import annotations
@@ -28,37 +20,31 @@ from typing import Tuple
 
 @dataclass(frozen=True)
 class SeamSpec:
-    """One dual-implementation contract."""
+    """One optimized function and its reference twin in one module."""
 
     name: str
-    kind: str  # "reference" | "class"
-    left: Tuple[str, str]  # (path relative to the repro root, qualname)
-    right: Tuple[str, str]
+    path: str  # relative to the repro root
+    optimized: str
+    reference: str
 
 
 SEAM_REGISTRY: Tuple[SeamSpec, ...] = (
     SeamSpec(
         name="metadata builder reference twin",
-        kind="reference",
-        left=("core/discovery.py", "build_metadata_candidates"),
-        right=("core/discovery.py", "build_metadata_candidates_reference"),
+        path="core/discovery.py",
+        optimized="build_metadata_candidates",
+        reference="build_metadata_candidates_reference",
     ),
     SeamSpec(
         name="piece builder reference twin",
-        kind="reference",
-        left=("core/download.py", "build_piece_candidates"),
-        right=("core/download.py", "build_piece_candidates_reference"),
+        path="core/download.py",
+        optimized="build_piece_candidates",
+        reference="build_piece_candidates_reference",
     ),
     SeamSpec(
         name="contact extraction reference twin",
-        kind="reference",
-        left=("traces/mobility.py", "_extract_contacts"),
-        right=("traces/mobility.py", "_extract_contacts_reference"),
-    ),
-    SeamSpec(
-        name="flat/sharded metadata catalog",
-        kind="class",
-        left=("catalog/server.py", "MetadataServer"),
-        right=("catalog/dht.py", "ShardedMetadataServer"),
+        path="traces/mobility.py",
+        optimized="_extract_contacts",
+        reference="_extract_contacts_reference",
     ),
 )

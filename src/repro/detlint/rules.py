@@ -24,18 +24,14 @@ from typing import Dict, FrozenSet, Tuple
 #: additionally covers the trace generators and the fault injector —
 #: both consume randomness, which is fine, but only through an
 #: explicitly seeded ``random.Random``.
-#: ``repro/catalog/dht`` joins the core scope: the sharded catalog must
-#: be observably identical to the flat server, so it is held to the
-#: same iteration-order and float-comparison rules (the rest of
-#: ``repro/catalog`` stays out, as before — only RNG/time rules apply).
-#: ``repro/runtime`` (the frame-level harness replays the same
+#: ``repro/catalog`` stays out of the core scope (only RNG/time rules
+#: apply there). ``repro/runtime`` (the frame-level harness replays the same
 #: protocol) and ``repro/routing`` (baseline routers share the trace
 #: replay) are full core members too.
 _SIM_CORE = (
     "repro/core",
     "repro/sim",
     "repro/net",
-    "repro/catalog/dht",
     "repro/runtime",
     "repro/routing",
 )
@@ -208,11 +204,12 @@ RULES: Dict[str, Rule] = {
             id="CON005",
             title="seam-parity drift",
             summary=(
-                "dual (drop-in or reference-twin) implementation "
-                "missing, or its signature diverging from its counterpart"
+                "reference twin or its optimized path missing, or the "
+                "reference signature no longer an ordered prefix of the "
+                "optimized one"
             ),
             fixit=(
-                "restore the counterpart listed in "
+                "restore the function listed in "
                 "repro.contracts.seams.SEAM_REGISTRY or re-align the "
                 "parameter names (the seam is duck-typed)"
             ),

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_checksum, piece_payload
+from repro.catalog.metadata import PublisherRegistry
+from repro.catalog.popularity import PopularityTracker
 from repro.catalog.query import Query, best_match, live_queries, matches
 from repro.catalog.server import FileServer, MetadataServer
+from repro.perf import PerfRecorder
 from repro.types import DAY, NodeId, Uri
 
 from conftest import make_metadata, make_query
@@ -188,6 +193,166 @@ class TestMetadataServer:
         server.refresh_popularities(now)
         assert server.get(still.uri) is before  # unchanged record not reallocated
         assert server.get(moved.uri).popularity == pytest.approx(0.1)
+
+    def test_negative_limit_rejected(self, registry):
+        server = MetadataServer()
+        server.publish(make_metadata(registry))
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            server.search(frozenset({"news"}), now=0.0, limit=-1)
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            server.top_popular(now=0.0, limit=-1)
+        assert server.top_popular(now=0.0, limit=0) == []
+
+    def test_refresh_skips_unchanged(self, registry):
+        tracker = PopularityTracker(population=10)
+        perf = PerfRecorder()
+        server = MetadataServer(tracker, perf=perf)
+        for i in range(20):
+            server.publish(
+                make_metadata(
+                    registry, uri=f"dtn://fox/f{i:06d}", popularity=0.0
+                )
+            )
+        now = DAY
+        tracker.record_request(Uri("dtn://fox/f000013"), NodeId(1), now - 1.0)
+        server.all_records()
+        server.refresh_popularities(now)
+        ranked = server.all_records()
+        assert ranked[0].uri == "dtn://fox/f000013"
+        assert ranked == _ranked_brute_force(server, None)
+        rebuilds = perf.as_counters()["perf.catalog.ranked_rebuilds"]
+        server.refresh_popularities(now)  # nothing moved: the view survives
+        assert server.all_records() == ranked
+        assert perf.as_counters()["perf.catalog.ranked_rebuilds"] == rebuilds
+
+    def test_ranked_cache_invalidated_by_publish(self, registry):
+        server = MetadataServer()
+        for i in range(5):
+            server.publish(
+                make_metadata(
+                    registry, uri=f"dtn://fox/f{i:06d}", popularity=i / 10.0
+                )
+            )
+        first = server.top_popular(1.0, 3)
+        newcomer = make_metadata(
+            registry, uri="dtn://fox/fresh1", name="fresh news", popularity=0.99
+        )
+        server.publish(newcomer)
+        assert server.top_popular(1.0, 3)[0] == newcomer
+        assert first[0] != newcomer
+
+
+def _ranked_brute_force(server, now, exclude=frozenset()):
+    records = [
+        md
+        for md in server._records.values()
+        if (now is None or md.is_live(now)) and md.uri not in exclude
+    ]
+    return sorted(records, key=lambda md: (-md.popularity, md.uri))
+
+
+def _keys(records):
+    """What a stale record would differ in; cheap for pytest to diff."""
+    return [(md.uri, md.name, md.popularity, md.expires_at) for md in records]
+
+
+_URIS = st.integers(min_value=0, max_value=12)
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=36),  # hours the clock advances
+        st.one_of(
+            # (uri, name shape, popularity decile, ttl days)
+            st.tuples(
+                st.just("publish"),
+                _URIS,
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=1, max_value=3),
+            ),
+            st.tuples(st.just("rename"), _URIS, st.integers(min_value=0, max_value=4)),
+            st.tuples(st.just("expire")),
+            # (uri, requesting node) pairs logged before the refresh
+            st.tuples(
+                st.just("refresh"),
+                st.lists(
+                    st.tuples(_URIS, st.integers(min_value=0, max_value=4)),
+                    max_size=4,
+                ),
+            ),
+            st.tuples(
+                st.just("top"),
+                st.integers(min_value=0, max_value=8),
+                st.frozensets(_URIS, max_size=4),
+            ),
+            st.tuples(st.just("all"), st.booleans()),
+        ),
+        st.booleans(),  # read the whole view, expired records too, after the op
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_CACHE_OPS)
+def test_cached_ranked_view_matches_brute_force(ops):
+    """Every interleaving of mutations and reads sees a fresh ranking."""
+    registry = PublisherRegistry(master_seed=42)
+    registry.register("fox")
+    tracker = PopularityTracker(population=5)
+    server = MetadataServer(tracker)
+
+    def uri(suffix):
+        return Uri(f"dtn://fox/f{suffix:06d}")
+
+    now = 0.0
+    for advance_hours, op, read_after in ops:
+        now += advance_hours * 3600.0
+        kind = op[0]
+        if kind == "publish":
+            __, suffix, shape, decile, ttl_days = op
+            server.publish(
+                make_metadata(
+                    registry,
+                    uri=uri(suffix),
+                    name=f"news tag{shape} group{suffix % 3}",
+                    popularity=decile / 10.0,
+                    created_at=now,
+                    ttl=ttl_days * DAY,
+                )
+            )
+        elif kind == "rename":
+            __, suffix, shape = op
+            current = server.get(uri(suffix))
+            if current is not None:
+                server.publish(
+                    make_metadata(
+                        registry,
+                        uri=current.uri,
+                        name=f"renamed tag{shape} group{suffix % 3}",
+                        popularity=current.popularity,
+                        created_at=current.created_at,
+                        ttl=current.ttl,
+                    )
+                )
+        elif kind == "expire":
+            server.expire(now)
+        elif kind == "refresh":
+            for suffix, node in op[1]:
+                tracker.record_request(uri(suffix), NodeId(node), now)
+            server.refresh_popularities(now)
+        elif kind == "top":
+            __, limit, excluded = op
+            exclude = frozenset(uri(suffix) for suffix in excluded)
+            expected = _ranked_brute_force(server, now, exclude)[:limit]
+            assert _keys(server.top_popular(now, limit, exclude)) == _keys(expected)
+        else:
+            probe = now if op[1] else None
+            expected = _ranked_brute_force(server, probe)
+            assert _keys(server.all_records(probe)) == _keys(expected)
+        if read_after:
+            expected = _ranked_brute_force(server, None)
+            assert _keys(server.all_records()) == _keys(expected)
 
 
 class TestFileServer:

@@ -202,37 +202,15 @@ class TestLayerRegistry:
 
 class TestSeamRegistryLive:
     def test_twin_and_reference_signatures_hold_at_runtime(self):
-        for seam in SEAM_REGISTRY:
-            if seam.kind == "class":
-                continue
-            left = self._resolve(seam.left)
-            right = self._resolve(seam.right)
-            lp = list(inspect.signature(left).parameters)
-            rp = list(inspect.signature(right).parameters)
-            assert lp[: len(rp)] == rp, seam.name  # reference: ordered prefix
-
-    def test_class_seam_holds_at_runtime(self):
-        from repro.catalog.dht import ShardedMetadataServer
-        from repro.catalog.server import MetadataServer
-
-        for name, member in vars(MetadataServer).items():
-            if name.startswith("_") or not callable(member):
-                continue
-            twin = getattr(ShardedMetadataServer, name, None)
-            assert twin is not None, name
-            assert list(inspect.signature(member).parameters) == list(
-                inspect.signature(twin).parameters
-            ), name
-
-    @staticmethod
-    def _resolve(ref):
         import importlib
 
-        rel, qualname = ref
-        module = importlib.import_module(
-            "repro." + rel[: -len(".py")].replace("/", ".")
-        )
-        return getattr(module, qualname)
+        for seam in SEAM_REGISTRY:
+            module = importlib.import_module(
+                "repro." + seam.path[: -len(".py")].replace("/", ".")
+            )
+            op = list(inspect.signature(getattr(module, seam.optimized)).parameters)
+            rp = list(inspect.signature(getattr(module, seam.reference)).parameters)
+            assert op[: len(rp)] == rp, seam.name  # reference: ordered prefix
 
 
 class TestWireRegistry:
